@@ -74,9 +74,12 @@ loadgen-smoke:
 bench-full:
 	go test -bench=. -benchmem ./...
 
-# Short coverage-guided fuzz pass over the wire codec and the delta
-# bundle decoder (~10s per target).
+# Short coverage-guided fuzz pass over the parsers that take untrusted
+# bytes: the wire codec, the delta bundle decoder, the master-file parser
+# and the IXFR stream applier (~10s per target).
 fuzz-short:
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzMessageUnpack -fuzztime=10s
 	go test ./internal/dnswire -run='^$$' -fuzz=FuzzNameParse -fuzztime=10s
 	go test ./internal/dist -run='^$$' -fuzz=FuzzDecodeDeltaBundle -fuzztime=10s
+	go test ./internal/zone -run='^$$' -fuzz=FuzzZoneParse -fuzztime=10s
+	go test ./internal/authserver -run='^$$' -fuzz=FuzzApplyIXFR -fuzztime=10s

@@ -349,13 +349,13 @@ func BenchmarkAblationVerify(b *testing.B) {
 // the preloaded root zone pinned.
 func BenchmarkAblationCacheEviction(b *testing.B) {
 	setup(b)
-	_, sets := dnswire.GroupRRsets(fixtures.zone2019.Records())
+	sets := fixtures.zone2019.RRsets()
 	run := func(b *testing.B, pin bool) {
 		clock := time.Unix(1559900000, 0)
 		c := cache.New(20_000, func() time.Time { return clock })
 		if pin {
-			for _, rrs := range sets {
-				c.Put(rrs, true)
+			for _, set := range sets {
+				c.Put(set.RRs, true)
 			}
 		}
 		rng := rand.New(rand.NewSource(1))

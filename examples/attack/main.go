@@ -25,6 +25,7 @@ import (
 	"rootless/internal/netsim"
 	"rootless/internal/resolver"
 	"rootless/internal/rootzone"
+	"rootless/internal/zone"
 )
 
 type seedRand struct{ r *rand.Rand }
@@ -124,9 +125,9 @@ func main() {
 	// file from the same attacker fails verification.
 	honest, _ := dnssec.NewSigner(dnswire.Root, seedRand{rand.New(rand.NewSource(1))})
 	attacker, _ := dnssec.NewSigner(dnswire.Root, seedRand{rand.New(rand.NewSource(666))})
-	forgedZone := rootZone.Clone()
-	forgedZone.Remove("com.", dnswire.TypeNS)
-	_ = forgedZone.Add(dnswire.NewRR("com.", 172800, dnswire.NS{Host: "ns.attacker."}))
+	forgedNS := dnswire.NewRR("com.", 172800, dnswire.NS{Host: "ns.attacker."})
+	forgedZone, _ := rootZone.Apply([]zone.Change{
+		{Key: forgedNS.Key(), Old: rootZone.Lookup("com.", dnswire.TypeNS), New: []dnswire.RR{forgedNS}}})
 	forged, _ := dist.MakeBundle(forgedZone, attacker)
 
 	lr, err := core.New(core.Config{

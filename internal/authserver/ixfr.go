@@ -74,37 +74,16 @@ func (s *Server) recordVersion(z *zone.Zone) {
 	}
 }
 
-// ixfrDiff computes the deleted/added RRsets between two versions in
-// IXFR stream order: oldSOA, deletions, newSOA, additions.
+// ixfrDiff computes the deleted/added records between two versions in
+// IXFR stream order: oldSOA, deletions, newSOA, additions. The apex SOA is
+// left out; the stream carries it as the separator.
 func ixfrDiff(old, new *zone.Zone) (deleted, added []dnswire.RR) {
-	oldSet := make(map[string]dnswire.RR)
-	for _, rr := range old.Records() {
-		if rr.Type == dnswire.TypeSOA && rr.Name == old.Origin {
+	for _, c := range zone.Diff(old, new) {
+		if c.Key.Type == dnswire.TypeSOA && c.Key.Name == new.Origin {
 			continue
 		}
-		oldSet[rr.String()] = rr
-	}
-	newSet := make(map[string]dnswire.RR)
-	for _, rr := range new.Records() {
-		if rr.Type == dnswire.TypeSOA && rr.Name == new.Origin {
-			continue
-		}
-		newSet[rr.String()] = rr
-	}
-	for _, rr := range old.Records() {
-		key := rr.String()
-		if _, ok := newSet[key]; !ok && oldSet[key].Data != nil {
-			deleted = append(deleted, rr)
-		}
-	}
-	for _, rr := range new.Records() {
-		key := rr.String()
-		if _, ok := oldSet[key]; !ok {
-			if rr.Type == dnswire.TypeSOA && rr.Name == new.Origin {
-				continue
-			}
-			added = append(added, rr)
-		}
+		deleted = append(deleted, c.Removed()...)
+		added = append(added, c.Added()...)
 	}
 	return deleted, added
 }
@@ -266,55 +245,38 @@ func applyIXFR(have *zone.Zone, answers []dnswire.RR) (*zone.Zone, bool, error) 
 		return nil, false, errors.New("authserver: empty IXFR reply")
 	}
 	firstSOA := answers[0]
+	if _, isSOA := firstSOA.Data.(dnswire.SOA); !isSOA || firstSOA.Name != origin {
+		return nil, false, errors.New("authserver: IXFR reply does not start with SOA")
+	}
 	if len(answers) == 1 {
 		// Up to date.
 		return have, true, nil
 	}
 	// AXFR-style: second record is not a SOA.
 	if _, isSOA := answers[1].Data.(dnswire.SOA); !isSOA || answers[1].Name != origin {
-		full := zone.New(origin)
-		if err := full.Add(firstSOA); err != nil {
-			return nil, false, err
-		}
-		for _, rr := range answers[1 : len(answers)-1] {
-			if err := full.Add(rr); err != nil {
-				return nil, false, err
-			}
-		}
-		return full, false, nil
+		full, err := zone.New(origin).Apply(zone.AddChanges(answers[:len(answers)-1]))
+		return full, false, err
 	}
 
 	// Incremental: SOA(new) SOA(old) del... SOA(new) add... SOA(new).
-	updated := have.Clone()
-	updated.Remove(origin, dnswire.TypeSOA)
+	// Every SOA at the origin is a separator; the opening one replaces
+	// the held SOA.
+	changes := []zone.Change{{Key: firstSOA.Key(), Old: have.Lookup(origin, dnswire.TypeSOA), New: answers[:1]}}
 	deleting := true
 	for _, rr := range answers[2 : len(answers)-1] {
-		if soa, isSOA := rr.Data.(dnswire.SOA); isSOA && rr.Name == origin {
-			_ = soa
+		if _, isSOA := rr.Data.(dnswire.SOA); isSOA && rr.Name == origin {
 			deleting = false
 			continue
 		}
+		c := zone.Change{Key: rr.Key(), New: []dnswire.RR{rr}}
 		if deleting {
-			removeRR(updated, rr)
-		} else {
-			if err := updated.Add(rr); err != nil {
-				return nil, false, err
-			}
+			c.Old, c.New = c.New, nil
 		}
+		changes = append(changes, c)
 	}
-	if err := updated.Add(firstSOA); err != nil {
+	updated, err := have.Apply(changes)
+	if err != nil {
 		return nil, false, err
 	}
 	return updated, true, nil
-}
-
-// removeRR deletes one specific record (by rdata) from a zone.
-func removeRR(z *zone.Zone, rr dnswire.RR) {
-	existing := z.Lookup(rr.Name, rr.Type)
-	z.Remove(rr.Name, rr.Type)
-	for _, e := range existing {
-		if e.Data.String() != rr.Data.String() {
-			_ = z.Add(e)
-		}
-	}
 }

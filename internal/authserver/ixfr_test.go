@@ -12,7 +12,7 @@ import (
 )
 
 // zoneV builds a versioned test zone: serial plus a per-version TLD set.
-func zoneV(t *testing.T, serial uint32, extraTLDs ...string) *zone.Zone {
+func zoneV(t testing.TB, serial uint32, extraTLDs ...string) *zone.Zone {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString(". 86400 IN SOA a.root-servers.net. nstld.verisign-grs.com. ")

@@ -231,12 +231,10 @@ func (lr *LocalRoot) tickAdditions(ctx context.Context) bool {
 	if len(rrs) == 0 {
 		return false // nothing new; not an install
 	}
-	patched := lr.current.Clone()
-	for _, rr := range rrs {
-		if err := patched.Add(rr); err != nil {
-			lr.additionsErr++
-			return false
-		}
+	patched, err := lr.current.Apply(zone.AddChanges(rrs))
+	if err != nil {
+		lr.additionsErr++
+		return false
 	}
 	if err := lr.install(patched); err != nil {
 		lr.additionsErr++

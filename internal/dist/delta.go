@@ -218,7 +218,7 @@ type DeltaApplyStats struct {
 }
 
 // Apply verifies the delta against the installed zone and the trust
-// anchors, applies it to a clone, and incrementally verifies the result:
+// anchors, applies it to a copy, and incrementally verifies the result:
 // the detached signature covers the delta payload (including both chain
 // anchors), the apex DNSKEY RRset must carry a signature from an anchored
 // key, and every changed authoritative RRset must verify against the
@@ -252,9 +252,9 @@ func (d *DeltaBundle) Apply(cur *zone.Zone, curChain [32]byte, anchors []dnswire
 		return nil, st, fmt.Errorf("dist: delta signature: %w", sigErr)
 	}
 
-	next := cur.Clone()
+	changes := make([]zone.Change, 0, len(d.Removed))
 	for _, key := range d.Removed {
-		next.Remove(key.Name, key.Type)
+		changes = append(changes, zone.Change{Key: key, Old: cur.Lookup(key.Name, key.Type)})
 		st.RemovedSets++
 	}
 	var addedKeys []dnswire.RRsetKey
@@ -263,14 +263,15 @@ func (d *DeltaBundle) Apply(cur *zone.Zone, curChain [32]byte, anchors []dnswire
 		if err != nil {
 			return nil, st, fmt.Errorf("dist: delta additions: %w", err)
 		}
-		rrs := az.Records()
-		for _, rr := range rrs {
-			if err := next.Add(rr); err != nil {
-				return nil, st, fmt.Errorf("dist: applying delta: %w", err)
-			}
-			st.AddedRRs++
+		for _, set := range az.RRsets() {
+			changes = append(changes, zone.Change{Key: set.Key, New: set.RRs})
+			addedKeys = append(addedKeys, set.Key)
+			st.AddedRRs += len(set.RRs)
 		}
-		addedKeys, _ = dnswire.GroupRRsets(rrs)
+	}
+	next, err := cur.Apply(changes)
+	if err != nil {
+		return nil, st, fmt.Errorf("dist: applying delta: %w", err)
 	}
 	if next.Serial() != d.ToSerial {
 		return nil, st, fmt.Errorf("dist: delta result serial %d, want %d", next.Serial(), d.ToSerial)

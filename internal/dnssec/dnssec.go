@@ -356,8 +356,8 @@ func (s *Signer) SignZone(z *zone.Zone, now time.Time) error {
 		}
 	}
 
-	_, sets := dnswire.GroupRRsets(z.Records())
-	for key, rrset := range sets {
+	for _, set := range z.RRsets() {
+		key, rrset := set.Key, set.RRs
 		if key.Type == dnswire.TypeRRSIG {
 			continue
 		}
@@ -531,20 +531,21 @@ func VerifyZone(z *zone.Zone, anchor dnswire.DS, now time.Time) error {
 		return ErrDSMismatch
 	}
 
-	_, sets := dnswire.GroupRRsets(z.Records())
+	sets := z.RRsets()
 	sigs := make(map[dnswire.RRsetKey][]dnswire.RR)
-	for key, rrset := range sets {
-		if key.Type != dnswire.TypeRRSIG {
+	for _, set := range sets {
+		if set.Key.Type != dnswire.TypeRRSIG {
 			continue
 		}
-		for _, sigRR := range rrset {
+		for _, sigRR := range set.RRs {
 			covered := sigRR.Data.(dnswire.RRSIG).TypeCovered
-			k := dnswire.RRsetKey{Name: key.Name, Type: covered, Class: key.Class}
+			k := dnswire.RRsetKey{Name: set.Key.Name, Type: covered, Class: set.Key.Class}
 			sigs[k] = append(sigs[k], sigRR)
 		}
 	}
 
-	for key, rrset := range sets {
+	for _, set := range sets {
+		key, rrset := set.Key, set.RRs
 		if key.Type == dnswire.TypeRRSIG {
 			continue
 		}
@@ -552,7 +553,7 @@ func VerifyZone(z *zone.Zone, anchor dnswire.DS, now time.Time) error {
 			if key.Type == dnswire.TypeNS {
 				continue
 			}
-			if isGlueForVerify(sets, apex, key.Name, key.Type) {
+			if isGlue(z, key.Name, key.Type) {
 				continue
 			}
 		}
@@ -598,43 +599,26 @@ func VerifyZone(z *zone.Zone, anchor dnswire.DS, now time.Time) error {
 
 // verifyNSECChain checks that the zone's NSEC records (if any) form one
 // closed canonical-order cycle. Zones signed without AddNSEC have no chain
-// and pass vacuously.
-func verifyNSECChain(sets map[dnswire.RRsetKey][]dnswire.RR) error {
-	var owners []dnswire.Name
-	next := make(map[dnswire.Name]dnswire.Name)
-	for key, rrset := range sets {
-		if key.Type != dnswire.TypeNSEC {
+// and pass vacuously. sets is in canonical order, so the NSEC owners are
+// too.
+func verifyNSECChain(sets []zone.RRset) error {
+	var chain []zone.RRset
+	for _, set := range sets {
+		if set.Key.Type != dnswire.TypeNSEC {
 			continue
 		}
-		if len(rrset) != 1 {
-			return fmt.Errorf("%w: %d NSEC records at %s", ErrNSECChain, len(rrset), key.Name)
+		if len(set.RRs) != 1 {
+			return fmt.Errorf("%w: %d NSEC records at %s", ErrNSECChain, len(set.RRs), set.Key.Name)
 		}
-		owners = append(owners, key.Name)
-		next[key.Name] = rrset[0].Data.(dnswire.NSEC).NextName
+		chain = append(chain, set)
 	}
-	if len(owners) == 0 {
-		return nil
-	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i].Compare(owners[j]) < 0 })
-	for i, name := range owners {
-		want := owners[(i+1)%len(owners)]
-		if got := next[name]; got != want {
-			return fmt.Errorf("%w: %s points to %s, want %s", ErrNSECChain, name, got, want)
+	for i, set := range chain {
+		want := chain[(i+1)%len(chain)].Key.Name
+		if got := set.RRs[0].Data.(dnswire.NSEC).NextName; got != want {
+			return fmt.Errorf("%w: %s points to %s, want %s", ErrNSECChain, set.Key.Name, got, want)
 		}
 	}
 	return nil
-}
-
-func isGlueForVerify(sets map[dnswire.RRsetKey][]dnswire.RR, apex, name dnswire.Name, typ dnswire.Type) bool {
-	if typ != dnswire.TypeA && typ != dnswire.TypeAAAA {
-		return false
-	}
-	for n := name; !n.IsRoot() && n != apex; n = n.Parent() {
-		if _, ok := sets[dnswire.RRsetKey{Name: n, Type: dnswire.TypeNS, Class: dnswire.ClassINET}]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // DetachedSignature is the paper's lighter-weight alternative to full

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"errors"
 	"strings"
 	"sync"
@@ -133,6 +134,12 @@ func nameFromLabels(labels [][]byte) Name {
 // ParseName normalizes a presentation-form name (relative names are made
 // absolute) into canonical form, validating length limits.
 func ParseName(s string) (Name, error) {
+	if canonicalPlain(s) {
+		if !strings.HasSuffix(s, ".") {
+			s += "."
+		}
+		return Name(s), nil
+	}
 	labels, err := parseLabels(s)
 	if err != nil {
 		return "", err
@@ -218,6 +225,9 @@ func (n Name) WireLen() int {
 // Compare orders names in DNSSEC canonical order (RFC 4034 §6.1):
 // by reversed label sequence, labels compared as case-folded octet strings.
 func (n Name) Compare(m Name) int {
+	if plainName(string(n)) && plainName(string(m)) {
+		return comparePlain(string(n), string(m))
+	}
 	a, b := n.Labels(), m.Labels()
 	for i := 1; i <= len(a) && i <= len(b); i++ {
 		la, lb := a[len(a)-i], b[len(b)-i]
@@ -234,7 +244,53 @@ func (n Name) Compare(m Name) int {
 	return 0
 }
 
-func compareLabels(a, b []byte) int {
+// plainName reports whether s is a valid name with no escapes, whose
+// labels are its dot-separated substrings: the common case Compare walks
+// without parsing or allocating.
+func plainName(s string) bool {
+	if len(s) > 253 || strings.IndexByte(s, '\\') >= 0 {
+		return false
+	}
+	for s = strings.TrimSuffix(s, "."); s != ""; {
+		i := strings.IndexByte(s, '.')
+		if i < 0 {
+			return len(s) <= 63
+		}
+		if i == 0 || i > 63 || i == len(s)-1 {
+			return false
+		}
+		s = s[i+1:]
+	}
+	return true
+}
+
+// canonicalPlain reports whether s is a plain name already in canonical
+// form but for a possibly missing trailing dot: printable ASCII with no
+// upper case. ParseName returns such names without rebuilding them.
+func canonicalPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < '!' || b > '~' || 'A' <= b && b <= 'Z' {
+			return false
+		}
+	}
+	return plainName(s)
+}
+
+// comparePlain is Compare for two plain names, walking labels from the
+// right in place.
+func comparePlain(a, b string) int {
+	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	for a != "" && b != "" {
+		i, j := strings.LastIndexByte(a, '.'), strings.LastIndexByte(b, '.')
+		if c := compareLabels(a[i+1:], b[j+1:]); c != 0 {
+			return c
+		}
+		a, b = a[:max(i, 0)], b[:max(j, 0)]
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+func compareLabels[L string | []byte](a, b L) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		ca, cb := lowerByte(a[i]), lowerByte(b[i])
 		if ca != cb {

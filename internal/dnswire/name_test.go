@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -281,5 +282,51 @@ func TestLabelsReflectParse(t *testing.T) {
 	}
 	if got := Root.Labels(); len(got) != 0 {
 		t.Errorf("root Labels = %q, want none", got)
+	}
+}
+
+// TestComparePlainMatchesParsedOrder: the in-place walk Compare takes for
+// plain names orders every pair exactly as comparing parsed labels does,
+// and ParseName's shortcut returns what rebuilding from labels returns,
+// on strings built from labels, dots, escapes and mixed case, valid or
+// not.
+func TestComparePlainMatchesParsedOrder(t *testing.T) {
+	parsed := func(n, m Name) int {
+		a, b := n.Labels(), m.Labels()
+		for i := 1; i <= len(a) && i <= len(b); i++ {
+			if c := compareLabels(a[len(a)-i], b[len(b)-i]); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(len(a), len(b))
+	}
+	pieces := []string{"a", "B", "ab", "0", ".", ".", "\\.", "\\065", "-", " ", "\xc0", strings.Repeat("x", 64)}
+	r := rand.New(rand.NewSource(1))
+	random := func() Name {
+		var sb strings.Builder
+		for i := r.Intn(6); i > 0; i-- {
+			sb.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		return Name(sb.String())
+	}
+	plain := 0
+	for i := 0; i < 20000; i++ {
+		n, m := random(), random()
+		if plainName(string(n)) && plainName(string(m)) {
+			plain++
+		}
+		if got, want := n.Compare(m), parsed(n, m); got != want {
+			t.Fatalf("Compare(%q, %q) = %d, parsed labels give %d", n, m, got, want)
+		}
+		// ParseName's shortcut for names already canonical must agree
+		// with rebuilding them from their labels.
+		labels, wantErr := parseLabels(string(n))
+		got, err := ParseName(string(n))
+		if (err == nil) != (wantErr == nil) || err == nil && got != nameFromLabels(labels) {
+			t.Fatalf("ParseName(%q) = %q, %v; from labels %q, %v", n, got, err, nameFromLabels(labels), wantErr)
+		}
+	}
+	if plain < 1000 {
+		t.Fatalf("only %d plain pairs exercised", plain)
 	}
 }

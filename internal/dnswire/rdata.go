@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -199,9 +198,31 @@ func (t TXT) appendWire(b []byte, _ *compressor) ([]byte, error) {
 func (t TXT) String() string {
 	parts := make([]string, len(t.Strings))
 	for i, s := range t.Strings {
-		parts[i] = strconv.Quote(s)
+		parts[i] = quoteText(s)
 	}
 	return strings.Join(parts, " ")
+}
+
+// quoteText renders a character-string in RFC 1035 §5.1 presentation
+// form: quoted, with '"' and '\' escaped by a backslash and every byte
+// outside printable ASCII written as \DDD, so a master-file parser reads
+// back the same bytes.
+func quoteText(s string) string {
+	var sb strings.Builder
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch b := s[i]; {
+		case b == '"' || b == '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(b)
+		case b < ' ' || b > '~':
+			fmt.Fprintf(&sb, "\\%03d", b)
+		default:
+			sb.WriteByte(b)
+		}
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }
 
 // ---- SRV ----
@@ -475,7 +496,7 @@ func (c CAA) appendWire(b []byte, _ *compressor) ([]byte, error) {
 }
 
 func (c CAA) String() string {
-	return fmt.Sprintf("%d %s %q", c.Flags, c.Tag, c.Value)
+	return fmt.Sprintf("%d %s %s", c.Flags, c.Tag, quoteText(c.Value))
 }
 
 // ---- OPT (EDNS0) ----

@@ -126,9 +126,9 @@ func CachePreload() Result {
 	// Preload growth: how much bigger does the cache get?
 	rootRRsets := rz.RRsetCount()
 	preloaded := warm.Len()
-	_, sets := dnswire.GroupRRsets(rz.Records())
-	for _, rrs := range sets {
-		warm.Put(rrs, true)
+	sets := rz.RRsets()
+	for _, set := range sets {
+		warm.Put(set.RRs, true)
 	}
 	growth := float64(warm.Len()-preloaded) / float64(preloaded)
 
@@ -144,8 +144,8 @@ func CachePreload() Result {
 	rng = rand.New(rand.NewSource(43))
 	nextSingle = 0
 	pre := cache.New(capacity, clk.now)
-	for _, rrs := range sets {
-		pre.Put(rrs, true)
+	for _, set := range sets {
+		pre.Put(set.RRs, true)
 	}
 	for i := 0; i < 120_000; i++ {
 		lookup(pre)

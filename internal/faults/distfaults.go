@@ -212,19 +212,18 @@ func forkZone(b *dist.Bundle, signer *dnssec.Signer, now time.Time, serialJump u
 	if err != nil {
 		return nil, err
 	}
-	fz := z.Clone()
-	soaRRs := fz.Lookup(fz.Origin, dnswire.TypeSOA)
+	soaRRs := z.Lookup(z.Origin, dnswire.TypeSOA)
 	if len(soaRRs) != 1 {
 		return nil, errors.New("faults: forked zone has no SOA")
 	}
 	soa := soaRRs[0].Data.(dnswire.SOA)
 	soa.Serial += serialJump
-	ttl := soaRRs[0].TTL
-	fz.Remove(fz.Origin, dnswire.TypeSOA)
-	if err := fz.Add(dnswire.NewRR(fz.Origin, ttl, soa)); err != nil {
-		return nil, err
-	}
-	if err := fz.Add(dnswire.NewRR("forked.", 172800, dnswire.NS{Host: "ns.forked."})); err != nil {
+	planted := dnswire.NewRR("forked.", 172800, dnswire.NS{Host: "ns.forked."})
+	fz, err := z.Apply([]zone.Change{
+		{Key: soaRRs[0].Key(), Old: soaRRs, New: []dnswire.RR{dnswire.NewRR(z.Origin, soaRRs[0].TTL, soa)}},
+		{Key: planted.Key(), New: []dnswire.RR{planted}},
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := signer.SignZone(fz, now); err != nil {

@@ -534,12 +534,8 @@ func (r *Resolver) Collect(reg *obs.Registry) {
 // PreloadRootZone loads every RRset of z into the cache as pinned entries
 // — the paper's "place all records from the root zone file in the cache".
 func (r *Resolver) PreloadRootZone(z *zone.Zone) {
-	_, sets := dnswire.GroupRRsets(z.Records())
-	for key, rrs := range sets {
-		if key.Type == dnswire.TypeSOA && key.Name.IsRoot() {
-			// keep the SOA too; it answers negative proofs
-		}
-		r.cache.Put(rrs, true)
+	for _, set := range z.RRsets() {
+		r.cache.Put(set.RRs, true)
 	}
 }
 

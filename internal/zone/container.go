@@ -43,43 +43,11 @@ func Decompress(data []byte, origin dnswire.Name) (*Zone, error) {
 // paper's §5.1 "Python script" experiment — a rudimentary lookaside that
 // decompresses and scans the whole file per lookup.
 func ExtractTLD(compressed []byte, tld dnswire.Name) ([]dnswire.RR, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(compressed))
+	full, err := Decompress(compressed, dnswire.Root)
 	if err != nil {
 		return nil, err
 	}
-	defer gz.Close()
-
-	// First pass over the stream: collect records under the TLD and note
-	// nameserver hosts whose glue we need. Root-zone glue is in-bailiwick
-	// (under the TLD) in the common case, but out-of-bailiwick NS hosts
-	// require remembering addresses seen anywhere, so we retain address
-	// records by owner as we scan.
-	var matched []dnswire.RR
-	nsHosts := make(map[dnswire.Name]bool)
-	addrByOwner := make(map[dnswire.Name][]dnswire.RR)
-
-	full, err := Parse(gz, dnswire.Root)
-	if err != nil {
-		return nil, err
-	}
-	for _, rr := range full.Records() {
-		if rr.Name.IsSubdomainOf(tld) && !rr.Name.IsRoot() {
-			matched = append(matched, rr)
-			if rr.Type == dnswire.TypeNS {
-				nsHosts[rr.Data.(dnswire.NS).Host] = true
-			}
-		}
-		if rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA {
-			addrByOwner[rr.Name] = append(addrByOwner[rr.Name], rr)
-		}
-	}
-	for host := range nsHosts {
-		if host.IsSubdomainOf(tld) {
-			continue // already included
-		}
-		matched = append(matched, addrByOwner[host]...)
-	}
-	return matched, nil
+	return BuildTLDIndex(full).Lookup(tld), nil
 }
 
 // TLDIndex is the "load the root zone into a database" alternative the
@@ -93,12 +61,6 @@ type TLDIndex struct {
 // glue to each TLD's record list.
 func BuildTLDIndex(z *Zone) *TLDIndex {
 	idx := &TLDIndex{byTLD: make(map[dnswire.Name][]dnswire.RR)}
-	addrByOwner := make(map[dnswire.Name][]dnswire.RR)
-	for _, rr := range z.Records() {
-		if rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA {
-			addrByOwner[rr.Name] = append(addrByOwner[rr.Name], rr)
-		}
-	}
 	needGlue := make(map[dnswire.Name][]dnswire.Name) // tld -> external hosts
 	for _, rr := range z.Records() {
 		if rr.Name.IsRoot() {
@@ -120,7 +82,8 @@ func BuildTLDIndex(z *Zone) *TLDIndex {
 				continue
 			}
 			seen[h] = true
-			idx.byTLD[tld] = append(idx.byTLD[tld], addrByOwner[h]...)
+			idx.byTLD[tld] = append(idx.byTLD[tld], z.Lookup(h, dnswire.TypeA)...)
+			idx.byTLD[tld] = append(idx.byTLD[tld], z.Lookup(h, dnswire.TypeAAAA)...)
 		}
 	}
 	return idx

@@ -112,6 +112,12 @@ func tokenize(line string, depth int) ([]token, int, error) {
 			var sb strings.Builder
 			for j < len(line) && line[j] != '"' {
 				if line[j] == '\\' && j+1 < len(line) {
+					// RFC 1035 §5.1: \DDD is a decimal byte, \X is X.
+					if v, err := strconv.ParseUint(line[j+1:min(j+4, len(line))], 10, 8); err == nil && j+3 < len(line) {
+						sb.WriteByte(byte(v))
+						j += 4
+						continue
+					}
 					sb.WriteByte(line[j+1])
 					j += 2
 					continue

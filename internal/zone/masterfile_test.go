@@ -334,3 +334,24 @@ func TestCompressRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuotedTextEscapesRoundTrip: character-strings holding quotes,
+// backslashes, control bytes and non-ASCII bytes are written with
+// RFC 1035 \DDD escapes and read back unchanged.
+func TestQuotedTextEscapesRoundTrip(t *testing.T) {
+	z := New(dnswire.Root)
+	want := []string{"\xc0", "a\"b\\c", "line\nbreak\x00", "ünï"}
+	if err := z.Add(dnswire.NewRR("t.", 60, dnswire.TXT{Strings: want})); err != nil {
+		t.Fatal(err)
+	}
+	if err := z.Add(dnswire.NewRR("t.", 60, dnswire.CAA{Tag: "issue", Value: "ca;\"x\"\x7f"})); err != nil {
+		t.Fatal(err)
+	}
+	z2, err := Parse(strings.NewReader(Text(z)), dnswire.Root)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, Text(z))
+	}
+	if !reflect.DeepEqual(z2.Records(), z.Records()) {
+		t.Errorf("round trip changed records:\n%s\nbecame\n%s", Text(z), Text(z2))
+	}
+}

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -235,4 +236,117 @@ func TestZoneClone(t *testing.T) {
 	if len(z.Lookup("com.", dnswire.TypeNS)) != 2 {
 		t.Error("mutating clone affected original")
 	}
+}
+
+// TestZoneANYCanonicalTypeOrder: the ANY answer and LookupAll list an
+// owner's RRsets in type order however the zone was built, so the same
+// question always gets the same answer.
+func TestZoneANYCanonicalTypeOrder(t *testing.T) {
+	records := []dnswire.RR{
+		dnswire.NewRR("x.", 300, dnswire.TXT{Strings: []string{"t"}}),
+		dnswire.NewRR("x.", 300, dnswire.A{Addr: addr("192.0.2.1")}),
+		dnswire.NewRR("x.", 300, dnswire.AAAA{Addr: addr("2001:db8::1")}),
+		dnswire.NewRR("x.", 300, dnswire.MX{Preference: 10, Host: "mx.x."}),
+		dnswire.NewRR("x.", 300, dnswire.CAA{Tag: "issue", Value: "ca."}),
+		dnswire.NewRR("x.", 300, dnswire.NSEC{NextName: "y.", Types: []dnswire.Type{dnswire.TypeA}}),
+		dnswire.NewRR("x.", 300, dnswire.SRV{Priority: 1, Weight: 1, Port: 53, Target: "s.x."}),
+		dnswire.NewRR("x.", 300, dnswire.DS{KeyTag: 1, Algorithm: 15, DigestType: 2, Digest: []byte{1}}),
+	}
+	r := rand.New(rand.NewSource(1))
+	for build := 0; build < 20; build++ {
+		z := New(dnswire.Root)
+		for _, i := range r.Perm(len(records)) {
+			if err := z.Add(records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, got := range [][]dnswire.RR{z.Query("x.", dnswire.TypeANY).Answer, z.LookupAll("x.")} {
+			if len(got) != len(records) {
+				t.Fatalf("build %d: %d records, want %d", build, len(got), len(records))
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i-1].Type >= got[i].Type {
+					t.Fatalf("build %d: ANY answer out of type order: %v before %v", build, got[i-1].Type, got[i].Type)
+				}
+			}
+		}
+	}
+}
+
+// TestApplyAndCloneDoNotAlias pins copy-on-write: changing a zone built
+// by Apply or Clone — adding into an RRset that already exists, adding a
+// new owner, removing — leaves the source untouched, and changing the
+// source leaves them untouched, while readers query the unchanged side
+// concurrently (run under -race).
+func TestApplyAndCloneDoNotAlias(t *testing.T) {
+	mutate := func(z *Zone) {
+		for _, rr := range []dnswire.RR{
+			dnswire.NewRR("com.", 172800, dnswire.NS{Host: "c.gtld-servers.net."}),
+			dnswire.NewRR("com.", 172800, dnswire.NS{Host: "0.gtld-servers.net."}),
+			dnswire.NewRR("a.gtld-servers.net.", 172800, dnswire.A{Addr: addr("192.5.6.31")}),
+			dnswire.NewRR("net.", 172800, dnswire.NS{Host: "a.gtld-servers.net."}),
+			dnswire.NewRR("org.", 3600, dnswire.NSEC{NextName: "com.", Types: []dnswire.Type{dnswire.TypeNS}}),
+		} {
+			if err := z.Add(rr); err != nil {
+				t.Error(err)
+			}
+		}
+		z.Remove("b.gtld-servers.net.", dnswire.TypeA)
+		z.Remove("a.gtld-servers.net.", dnswire.TypeAAAA)
+		z.Remove("org.", dnswire.TypeANY)
+	}
+	read := func(z *Zone, stop <-chan struct{}, done chan<- struct{}) {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			z.Query("www.com.", dnswire.TypeA)
+			z.Query("nonexistent.", dnswire.TypeA)
+			z.NSECCovering("net.")
+			z.Records()
+		}
+	}
+	// check runs mutate on one zone while readers query the other, then
+	// requires the other to be exactly as it was.
+	check := func(name string, stable, changed *Zone) {
+		t.Helper()
+		before := Text(stable)
+		stop, done := make(chan struct{}), make(chan struct{})
+		go read(stable, stop, done)
+		mutate(changed)
+		close(stop)
+		<-done
+		if Text(stable) != before {
+			t.Errorf("%s: changing one zone changed the other", name)
+		}
+	}
+	build := func() *Zone {
+		z := testRootZone(t)
+		if err := z.Add(dnswire.NewRR("com.", 3600, dnswire.NSEC{NextName: "org.", Types: []dnswire.Type{dnswire.TypeNS}})); err != nil {
+			t.Fatal(err)
+		}
+		return z
+	}
+
+	src := build()
+	check("Clone", src, src.Clone())
+	applied, err := src.Apply([]Change{{Key: dnswire.RRsetKey{Name: "com.", Type: dnswire.TypeDS, Class: dnswire.ClassINET},
+		Old: src.Lookup("com.", dnswire.TypeDS)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Apply", src, applied)
+
+	// The reverse direction: the source changes, the copies must not.
+	src = build()
+	clone := src.Clone()
+	applied, err = src.Apply(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("source of Clone", clone, src)
+	check("source of Apply", applied, src)
 }

@@ -5,7 +5,7 @@
 package zonediff
 
 import (
-	"sort"
+	"maps"
 
 	"rootless/internal/dnswire"
 	"rootless/internal/zone"
@@ -43,58 +43,23 @@ func Diff(old, new *zone.Zone) Changes {
 	var c Changes
 	oldTLDs := tldRecords(old)
 	newTLDs := tldRecords(new)
-	for tld, newSet := range newTLDs {
-		oldSet, ok := oldTLDs[tld]
-		if !ok {
+	for _, tld := range new.Delegations() {
+		if oldSet, ok := oldTLDs[tld]; !ok {
 			c.AddedTLDs = append(c.AddedTLDs, tld)
-			continue
-		}
-		same := len(oldSet) == len(newSet)
-		if same {
-			for s := range newSet {
-				if !oldSet[s] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
+		} else if !maps.Equal(oldSet, newTLDs[tld]) {
 			c.ChangedTLDs = append(c.ChangedTLDs, tld)
 		}
 	}
-	for tld := range oldTLDs {
+	for _, tld := range old.Delegations() {
 		if _, ok := newTLDs[tld]; !ok {
 			c.RemovedTLDs = append(c.RemovedTLDs, tld)
 		}
 	}
-	oldAll := recordSet(old)
-	newAll := recordSet(new)
-	for s := range newAll {
-		if !oldAll[s] {
-			c.AddedRRs++
-		}
+	for _, ch := range zone.Diff(old, new) {
+		c.AddedRRs += len(ch.Added())
+		c.RemovedRRs += len(ch.Removed())
 	}
-	for s := range oldAll {
-		if !newAll[s] {
-			c.RemovedRRs++
-		}
-	}
-	sortNames(c.AddedTLDs)
-	sortNames(c.RemovedTLDs)
-	sortNames(c.ChangedTLDs)
 	return c
-}
-
-func recordSet(z *zone.Zone) map[string]bool {
-	out := make(map[string]bool)
-	for _, rr := range z.Records() {
-		out[rr.String()] = true
-	}
-	return out
-}
-
-func sortNames(names []dnswire.Name) {
-	sort.Slice(names, func(i, j int) bool { return names[i].Compare(names[j]) < 0 })
 }
 
 // Reachability reports, for each TLD delegated in truth, whether a
@@ -125,12 +90,7 @@ func CheckReachability(stale, truth *zone.Zone) Reachability {
 	staleAddrs := tldAddresses(stale)
 	truthAddrs := tldAddresses(truth)
 	var r Reachability
-	tlds := make([]dnswire.Name, 0, len(truthAddrs))
-	for tld := range truthAddrs {
-		tlds = append(tlds, tld)
-	}
-	sortNames(tlds)
-	for _, tld := range tlds {
+	for _, tld := range truth.Delegations() {
 		r.Total++
 		old, existed := staleAddrs[tld]
 		if !existed {
@@ -193,63 +153,20 @@ func RecentAdditions(old, new *zone.Zone) []dnswire.RR {
 	return out
 }
 
-// ApplyAdditions merges a recent-additions supplement into a zone copy.
-func ApplyAdditions(z *zone.Zone, additions []dnswire.RR) error {
-	for _, rr := range additions {
-		if err := z.Add(rr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RRsetDelta computes the RRset-level difference from old to new — the
 // unit of IXFR-style signed deltas and Janus-style incremental
 // verification. An RRset that changed in any way appears as a removal of
 // its key plus a full replacement set in added; RRSIGs ride along as
 // ordinary RRsets (all signatures at a name group under one key, so a
-// re-signed name replaces its signature set wholesale). Removed keys are
-// sorted canonically and added records follow the new zone's RRset order,
-// so the delta is deterministic for a given (old, new) pair.
+// re-signed name replaces its signature set wholesale). Removed keys and
+// added records both follow canonical RRset order, so the delta is
+// deterministic for a given (old, new) pair.
 func RRsetDelta(old, new *zone.Zone) (removed []dnswire.RRsetKey, added []dnswire.RR) {
-	_, oldSets := dnswire.GroupRRsets(old.Records())
-	newOrder, newSets := dnswire.GroupRRsets(new.Records())
-	for key, oldSet := range oldSets {
-		newSet, ok := newSets[key]
-		if !ok || !sameRRset(oldSet, newSet) {
-			removed = append(removed, key)
+	for _, c := range zone.Diff(old, new) {
+		if len(c.Old) > 0 {
+			removed = append(removed, c.Key)
 		}
+		added = append(added, c.New...)
 	}
-	for _, key := range newOrder {
-		if oldSet, ok := oldSets[key]; ok && sameRRset(oldSet, newSets[key]) {
-			continue
-		}
-		added = append(added, newSets[key]...)
-	}
-	sort.Slice(removed, func(i, j int) bool {
-		if c := removed[i].Name.Compare(removed[j].Name); c != 0 {
-			return c < 0
-		}
-		return removed[i].Type < removed[j].Type
-	})
 	return removed, added
-}
-
-// sameRRset reports whether two RRsets hold the same records (order
-// independent; TTL and RDATA both count).
-func sameRRset(a, b []dnswire.RR) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]int, len(a))
-	for _, rr := range a {
-		set[rr.String()]++
-	}
-	for _, rr := range b {
-		set[rr.String()]--
-		if set[rr.String()] < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -148,8 +148,8 @@ func TestRecentAdditions(t *testing.T) {
 
 	// Applying the additions to the stale zone makes the new TLDs
 	// reachable.
-	patched := old.Clone()
-	if err := ApplyAdditions(patched, adds); err != nil {
+	patched, err := old.Apply(zone.AddChanges(adds))
+	if err != nil {
 		t.Fatal(err)
 	}
 	r := CheckReachability(patched, new)
